@@ -16,7 +16,7 @@ is deliberately conservative.
 An 8-client tiny-payload (64/128/256 B mix) run rides along as
 ``net_ops_small_c8`` — the small-object regime where PDU header bytes and
 per-request event-loop overhead, not payload movement, set the ceiling;
-it is the metric most sensitive to the wire-v2 binary header.
+it is the metric most sensitive to the binary PDU header.
 """
 
 import json

@@ -11,10 +11,9 @@ Modules:
 - :mod:`repro.cluster.supervisor` — shard condemn / re-home, booked in the
   :class:`~repro.core.supervisor.DurabilityLedger`.
 
-Only the placement/map layer is imported eagerly: ``repro.net.cluster``
-imports :func:`shard_for_object` from here while ``repro.net.__init__``
-itself is still loading, so the heavier modules (which import ``repro.net``
-back) resolve lazily via ``__getattr__``.
+Only the placement/map layer is imported eagerly: the heavier modules
+(which import ``repro.net``) resolve lazily via ``__getattr__``, so
+importing the placement/map layer does not pull in the socket stack.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.cluster.map import (
     is_fragment,
     parent_of_fragment,
 )
-from repro.cluster.placement import rank_shards, rendezvous_score, shard_for_object
+from repro.cluster.placement import rank_shards, rendezvous_score
 
 __all__ = [
     "BreakerPolicy",
@@ -54,7 +53,6 @@ __all__ = [
     "parent_of_fragment",
     "rank_shards",
     "rendezvous_score",
-    "shard_for_object",
 ]
 
 _LAZY = {

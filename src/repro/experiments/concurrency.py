@@ -108,8 +108,6 @@ class NetServiceSweep:
     payload_bytes: int
     requests_per_client: int
     workers: int = 1
-    #: Wire format the clients were pinned to (None = client default, v2).
-    wire_version: Optional[int] = None
     ops_per_sec: List[float] = field(default_factory=list)
     mb_per_sec: List[float] = field(default_factory=list)
     p50_latency_ms: List[float] = field(default_factory=list)
@@ -130,11 +128,10 @@ class NetServiceSweep:
             ]
             for index in range(len(self.clients))
         ]
-        wire = f", wire v{self.wire_version}" if self.wire_version else ""
         table = format_table(
             "repro.net service layer: closed-loop clients vs throughput/latency "
             f"({self.payload_bytes}B payloads, {self.requests_per_client} req/client, "
-            f"{self.workers} worker{'s' if self.workers != 1 else ''}{wire})",
+            f"{self.workers} worker{'s' if self.workers != 1 else ''})",
             ["Clients", "ops/s", "MB/s", "p50 (ms)", "p99 (ms)"],
             rows,
         )
@@ -177,8 +174,6 @@ class NetServiceSweep:
             "corrupted": self.corrupted,
             "metrics": metrics,
         }
-        if self.wire_version is not None:
-            report["wire_version"] = self.wire_version
         return report
 
     def write_bench_json(self, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
@@ -213,7 +208,7 @@ def _zero_cost_target(_worker_id: int = 0):
 
 
 #: Small-object profile: tiny payloads where the PDU header, not the
-#: data, dominates bytes on the wire — the regime wire v2 targets.
+#: data, dominates bytes on the wire.
 SMALL_PAYLOAD_MIX = (64, 128, 256)
 
 
@@ -225,7 +220,6 @@ def run_net_service_sweep(
     write_fraction: float = 0.35,
     seed: int = 1234,
     workers: int = 1,
-    wire_version: Optional[int] = None,
 ) -> NetServiceSweep:
     """Run the closed-loop load generator against a live localhost server.
 
@@ -240,8 +234,7 @@ def run_net_service_sweep(
     client reads its own writes regardless of which shard it lands on.
 
     ``payload_mix`` switches writes to a seeded multi-size mix (see
-    :func:`~repro.net.loadgen.run_load`); ``wire_version`` pins clients to
-    wire v1 or v2 (None = client default, v2).
+    :func:`~repro.net.loadgen.run_load`).
     """
     import asyncio
 
@@ -254,7 +247,6 @@ def run_net_service_sweep(
         payload_bytes=payload_bytes,
         requests_per_client=requests_per_client,
         workers=workers,
-        wire_version=wire_version,
     )
 
     async def _drive(port: int, count: int):
@@ -267,7 +259,6 @@ def run_net_service_sweep(
             payload_mix=payload_mix,
             write_fraction=write_fraction,
             seed=seed,
-            wire_version=wire_version,
         )
 
     async def _measure_single(count: int):
@@ -325,13 +316,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="OSD worker processes serving the port (--net mode; default 1)",
     )
     parser.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        help="pin clients to wire v1 or v2 (--net mode; default: client default, v2)",
-    )
-    parser.add_argument(
         "--small",
         action="store_true",
         help="small-object profile: tiny payload mix (64/128/256 B) (--net mode)",
@@ -345,7 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             payload_bytes=min(SMALL_PAYLOAD_MIX) if args.small else args.payload_bytes,
             payload_mix=SMALL_PAYLOAD_MIX if args.small else None,
             workers=args.workers,
-            wire_version=args.wire_version,
         )
         print(sweep.format())
         path = sweep.write_bench_json()

@@ -23,7 +23,7 @@ Modules:
 """
 
 from repro.net.client import AsyncOsdClient, ClientStats, OsdServiceError
-from repro.net.cluster import WorkerPool, shard_for_object, supports_reuse_port
+from repro.net.cluster import WorkerPool, supports_reuse_port
 from repro.net.flush import StreamFlusher
 from repro.net.retry import RetryPolicy, is_idempotent
 from repro.net.server import OsdServer
@@ -41,6 +41,5 @@ __all__ = [
     "WorkerPool",
     "is_idempotent",
     "merge_snapshots",
-    "shard_for_object",
     "supports_reuse_port",
 ]

@@ -19,11 +19,6 @@ reads its own writes as long as it keeps using the same connection —
 exactly the contract the closed-loop load generator and the pooled client
 already follow.
 
-:func:`shard_for_object` now lives in :mod:`repro.cluster.placement`
-(re-exported here for compatibility): the multi-OSD cluster layer routes
-with rendezvous hashing instead, but the worker pool's OID-hash partition
-function and its pinned tests stay bit-for-bit.
-
 Accept models
 -------------
 
@@ -45,13 +40,11 @@ import queue
 import socket
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.placement import shard_for_object
 from repro.net.stats import merge_snapshots
 from repro.osd.target import OsdTarget
 
 __all__ = [
     "WorkerPool",
-    "shard_for_object",  # deprecated alias: lives in repro.cluster.placement
     "supports_reuse_port",
 ]
 

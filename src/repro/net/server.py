@@ -37,17 +37,14 @@ as ``[frame prefix, header, payload]`` segments and shipped with one
 command. ``--workers N`` (see :mod:`repro.net.cluster`) scales past the
 GIL with one target shard per worker process.
 
-Protocol port (wire v2 PR): each connection is an
+Protocol port: each connection is an
 :class:`asyncio.BufferedProtocol` — the socket ``recv_into``\\ s straight
 into the :class:`~repro.osd.transport.FrameDecoder`'s buffer (no
 StreamReader double-buffer, no reader-task wakeup per chunk) and frames
 are served synchronously from ``buffer_updated``. Back-pressure is
 symmetric: the connection's in-flight bound and the transport's
 ``pause_writing`` both gate ``pause_reading``/``resume_reading``, and the
-flusher's standby drain parks on the transport's resume signal. The
-server also negotiates the wire format per connection: it starts in v1
-(JSON headers) and sticks to v2 binary headers from the first v2 command
-it decodes, so v1 and v2 clients share one port.
+flusher's standby drain parks on the transport's resume signal.
 """
 
 from __future__ import annotations
@@ -112,9 +109,6 @@ class _Connection(asyncio.BufferedProtocol):
         self.decoder = FrameDecoder(server.max_pdu_bytes)
         self.tasks: Set[asyncio.Task] = set()
         self.dropped = False
-        #: Negotiated wire format: starts v1, sticky-upgrades to the
-        #: highest version seen on a decoded command PDU.
-        self.wire_version = wire.WIRE_V1
         self.flusher: Optional[StreamFlusher] = None
         #: Decoded-but-unserved commands beyond the in-flight bound.
         self._backlog: Deque[Tuple[Optional[int], OsdCommand]] = deque()
@@ -198,13 +192,7 @@ class _Connection(asyncio.BufferedProtocol):
         """Enqueue one response for the connection's next coalesced flush."""
         if self.dropped or self.flusher is None:
             return
-        self.flusher.send(
-            frame_parts(
-                wire.encode_response_parts(
-                    response, seq=seq, version=self.wire_version
-                )
-            )
-        )
+        self.flusher.send(frame_parts(wire.encode_response_parts(response, seq=seq)))
 
     def enqueue(self, seq: Optional[int], command: OsdCommand) -> None:
         """Admit one command to the fault-hook task path."""
@@ -401,17 +389,13 @@ class OsdServer:
         copies the payload out) happens before anything can interleave.
         """
         try:
-            seq, retry, command, version = wire.decode_command_pdu(frame)
+            seq, retry, command = wire.decode_command_pdu(frame)
         except WireError:
             # The frame boundary held, so the stream is still good:
             # answer a structured failure and keep serving.
             self.stats.wire_errors += 1
             conn.send(OsdResponse(SenseCode.FAIL), seq=wire.salvage_seq(frame))
             return
-        if version > conn.wire_version:
-            # Negotiation: the first v2 command upgrades the connection;
-            # every response from here on carries the binary header.
-            conn.wire_version = version
         if retry:
             self.stats.retries_seen += 1
         if (

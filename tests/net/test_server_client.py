@@ -84,6 +84,19 @@ class TestBasicService:
 
         run(scenario())
 
+    def test_attributes_cross_the_socket(self):
+        """Attr key/value strings ride the extended header, non-ASCII too."""
+
+        async def scenario():
+            async with OsdServer(make_target()) as server:
+                async with AsyncOsdClient("127.0.0.1", server.port) as client:
+                    assert (await client.write(OID_A, b"attrs", class_id=2)).ok
+                    assert (await client.submit(commands.SetAttr(OID_A, "kéy", "väl"))).ok
+                    value, got = await client.get_attr(OID_A, "kéy")
+                    assert got.ok and value == "väl"
+
+        run(scenario())
+
     def test_stats_endpoint_reports_service_counters(self):
         async def scenario():
             async with OsdServer(make_target()) as server:
@@ -350,6 +363,36 @@ class TestServerRobustness:
                     assert server.stats.wire_errors == 1
                 finally:
                     writer.close()
+
+        run(scenario())
+
+    def test_extended_header_cannot_override_the_opcode(self):
+        """A READ PDU carrying ``{"op": "remove"}`` in an extended header is
+        refused with a FAIL addressed to its seq; the object survives."""
+
+        async def scenario():
+            async with OsdServer(make_target()) as server:
+                async with AsyncOsdClient("127.0.0.1", server.port) as client:
+                    assert (await client.write(OID_A, b"keep me", class_id=3)).ok
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    read = bytearray(wire.encode_command(commands.Read(OID_A), seq=7))
+                    read[3] |= 0x01  # the extended-header flag
+                    ext = b'{"op":"remove"}'
+                    forged = bytes(read) + len(ext).to_bytes(2, "big") + ext
+                    writer.write(frame_pdu(forged))
+                    await writer.drain()
+                    prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
+                    pdu = await reader.readexactly(frame_length(prefix))
+                    seq, response = wire.decode_response_pdu(pdu)
+                    assert seq == 7
+                    assert response.sense is SenseCode.FAIL
+                    assert server.stats.wire_errors == 1
+                finally:
+                    writer.close()
+                async with AsyncOsdClient("127.0.0.1", server.port) as client:
+                    payload, read_back = await client.read(OID_A)
+                    assert read_back.ok and payload == b"keep me"
 
         run(scenario())
 

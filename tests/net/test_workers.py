@@ -14,7 +14,7 @@ from repro.flash.array import FlashArray
 from repro.flash.latency import ZERO_COST
 from repro.flash.stripe import ParityScheme
 from repro.net.client import AsyncOsdClient
-from repro.net.cluster import WorkerPool, shard_for_object, supports_reuse_port
+from repro.net.cluster import WorkerPool, supports_reuse_port
 from repro.net.stats import merge_snapshots
 from repro.osd.target import OsdTarget
 from repro.osd.types import PARTITION_BASE, ObjectId
@@ -32,29 +32,6 @@ def make_shard(_worker_id: int) -> OsdTarget:
     target = OsdTarget(array, policy=lambda _cid: ParityScheme(1))
     target.create_partition(PARTITION_BASE)
     return target
-
-
-class TestShardForObject:
-    def test_deterministic_and_in_range(self):
-        for oid in range(200):
-            object_id = ObjectId(PARTITION_BASE, 0x10000 + oid)
-            shard = shard_for_object(object_id, 4)
-            assert shard == shard_for_object(object_id, 4)
-            assert 0 <= shard < 4
-
-    def test_spreads_sequential_oids(self):
-        shards = {
-            shard_for_object(ObjectId(PARTITION_BASE, 0x10000 + oid), 4)
-            for oid in range(64)
-        }
-        assert shards == {0, 1, 2, 3}
-
-    def test_single_shard_is_trivial(self):
-        assert shard_for_object(ObjectId(PARTITION_BASE, 0x10000), 1) == 0
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            shard_for_object(ObjectId(PARTITION_BASE, 0x10000), 0)
 
 
 class TestWorkerPool:

@@ -12,7 +12,7 @@ from repro.osd import commands, wire
 from repro.osd.initiator import OsdInitiator
 from repro.osd.sense import SenseCode
 from repro.osd.target import OsdResponse, OsdTarget
-from repro.osd.transport import IscsiChannel
+from repro.osd.transport import IscsiChannel, frame_pdu
 from repro.osd.types import PARTITION_BASE, ObjectId, ObjectKind
 
 USER_A = ObjectId(PARTITION_BASE, 0x10005)
@@ -59,19 +59,23 @@ class TestWireFormat:
         assert ok_empty.payload == b""
 
     def test_truncated_pdu_rejected(self):
+        pdu = wire.encode_command(commands.Read(USER_A))
         with pytest.raises(OsdError):
-            wire.decode_command(b"\x00\x00")
+            wire.decode_command(pdu[:2])
         with pytest.raises(OsdError):
-            wire.decode_command(b"\x00\x00\x00\xff{}")
+            wire.decode_command(pdu[:-1])
 
     def test_unknown_op_rejected(self):
-        pdu = wire.encode_command(commands.Read(USER_A)).replace(b'"read"', b'"wat!"')
+        pdu = bytearray(wire.encode_command(commands.Read(USER_A)))
+        pdu[2] = 0x7F  # the opcode byte
         with pytest.raises(OsdError):
-            wire.decode_command(pdu)
+            wire.decode_command(bytes(pdu))
 
     def test_garbage_header_rejected(self):
         with pytest.raises(OsdError):
             wire.decode_command(b"\x00\x00\x00\x04weee")
+        with pytest.raises(OsdError):
+            wire.decode_command(bytes([wire.MAGIC, wire.VERSION]) + b"weee")
 
     @given(st.binary(max_size=512), st.integers(min_value=0, max_value=2**20))
     def test_write_payload_roundtrip_property(self, payload, oid_offset):
@@ -97,6 +101,22 @@ class TestTransport:
         assert channel.stats.commands == 2
         assert channel.stats.bytes_sent > 0
         assert channel.stats.bytes_received > len(b"over the wire")
+
+    def test_byte_counters_match_framed_pdus(self):
+        _array, _target, initiator, channel = make_stack()
+        payload = b"counted bytes"
+        initiator.write(USER_A, payload, class_id=3)
+        initiator.read(USER_A)
+        write = frame_pdu(wire.encode_command(commands.Write(USER_A, payload, 3)))
+        read = frame_pdu(wire.encode_command(commands.Read(USER_A)))
+        # 4-byte frame prefix + 44-byte command header (+ write payload).
+        assert len(write) + len(read) == (4 + 44 + len(payload)) + (4 + 44)
+        assert channel.stats.bytes_sent == len(write) + len(read)
+        ok = frame_pdu(wire.encode_response(OsdResponse(SenseCode.OK)))
+        data = frame_pdu(wire.encode_response(OsdResponse(SenseCode.OK, payload=payload)))
+        # 4 + 50-byte response header (+ read payload).
+        assert len(ok) + len(data) == (4 + 50) + (4 + 50 + len(payload))
+        assert channel.stats.bytes_received == len(ok) + len(data)
 
     def test_control_messages_cross_the_wire(self):
         _array, target, initiator, channel = make_stack()
