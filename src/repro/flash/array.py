@@ -16,7 +16,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.erasure.rs import RSCodec
 from repro.errors import (
@@ -30,7 +32,7 @@ from repro.errors import (
     TransientIoError,
     UnrecoverableDataError,
 )
-from repro.flash.device import FlashDevice
+from repro.flash.device import DeviceState, FlashDevice
 from repro.flash.latency import INTEL_540S_SSD, ServiceTimeModel
 from repro.flash.stripe import (
     ChunkKind,
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 ObjectKey = Hashable
+
+_ONLINE = DeviceState.ONLINE
 
 
 @lru_cache(maxsize=1024)
@@ -147,29 +151,41 @@ class ScrubReport:
 
 @dataclass
 class ObjectExtent:
-    """Array-side metadata for one stored object."""
+    """Array-side metadata for one stored object.
+
+    ``data_bytes`` and ``redundancy_bytes`` are running totals over the
+    stripes' chunks, kept by the write path as it appends each stripe, so
+    space accounting never walks the chunks. Chunk lengths never change
+    after a write (updates, rebuilds and scrubs rewrite in place).
+    """
 
     key: ObjectKey
     size: int
     scheme: RedundancyScheme
     stripes: List[StripeDescriptor] = field(default_factory=list)
+    #: Bytes in data chunks (the object's bytes plus padding).
+    data_bytes: int = 0
+    #: Bytes in parity and replica chunks.
+    redundancy_bytes: int = 0
 
     @property
     def stored_bytes(self) -> int:
-        return sum(chunk.length for stripe in self.stripes for chunk in stripe.chunks)
+        return self.data_bytes + self.redundancy_bytes
 
-    @property
-    def data_bytes(self) -> int:
-        return sum(
-            chunk.length
-            for stripe in self.stripes
-            for chunk in stripe.chunks
-            if chunk.kind is ChunkKind.DATA
-        )
 
-    @property
-    def redundancy_bytes(self) -> int:
-        return self.stored_bytes - self.data_bytes
+class _Lane:
+    """One device's share of a batch: its queue wait and its sample.
+
+    The sample's ``seconds`` is the service billed to the device in this
+    batch, so the lane's completion is ``wait + sample.seconds``.
+    """
+
+    __slots__ = ("device", "wait", "sample")
+
+    def __init__(self, device: FlashDevice, wait: float, sample: DeviceIoSample) -> None:
+        self.device = device
+        self.wait = wait
+        self.sample = sample
 
 
 class _IoBatch:
@@ -182,63 +198,63 @@ class _IoBatch:
 
     def __init__(self, start: float, op: str = "") -> None:
         self._start = start
-        self._service: Dict[int, float] = {}
-        self._wait: Dict[int, float] = {}
+        self._lanes: Dict[int, _Lane] = {}
         self.result = ArrayIoResult(op=op)
 
-    def _begin(self, device: FlashDevice) -> None:
-        if device.device_id not in self._wait:
-            self._wait[device.device_id] = max(0.0, device.busy_until - self._start)
-            self._service[device.device_id] = 0.0
-
-    def _sample(self, device: FlashDevice) -> DeviceIoSample:
-        sample = self.result.device_io.get(device.device_id)
-        if sample is None:
-            sample = DeviceIoSample()
-            self.result.device_io[device.device_id] = sample
-        return sample
+    def _open(self, device: FlashDevice) -> _Lane:
+        """First touch of a device in this batch: snapshot its queue wait."""
+        sample = DeviceIoSample()
+        lane = _Lane(device, max(0.0, device.busy_until - self._start), sample)
+        self._lanes[device.device_id] = lane
+        self.result.device_io[device.device_id] = sample
+        return lane
 
     def read(self, device: FlashDevice, address: Tuple[int, int]) -> bytes:
-        self._begin(device)
-        sample = self._sample(device)
+        sample = (self._lanes.get(device.device_id) or self._open(device)).sample
         try:
             payload, service_time = device.read_chunk(address)
         except (ChunkCorruptedError, TransientIoError):
             sample.reads += 1
             sample.errors += 1
             raise
-        self._service[device.device_id] += service_time
-        self.result.chunks_read += 1
-        self.result.bytes_read += len(payload)
+        size = len(payload)
+        result = self.result
+        result.chunks_read += 1
+        result.bytes_read += size
         sample.reads += 1
-        sample.bytes_read += len(payload)
+        sample.bytes_read += size
         sample.seconds += service_time
         return payload
 
+    def try_read(self, device: FlashDevice, address: Tuple[int, int]) -> Optional[bytes]:
+        """Read one fragment; corruption or a transient fault returns None.
+
+        Either way the error is recorded in the batch's per-device sample
+        (health-monitor food); corruption additionally lands in the
+        device's ``corrupt_chunks`` set for targeted scrubbing.
+        """
+        try:
+            return self.read(device, address)
+        except (ChunkCorruptedError, TransientIoError):
+            return None
+
     def write(self, device: FlashDevice, address: Tuple[int, int], payload: bytes) -> None:
-        self._begin(device)
+        sample = (self._lanes.get(device.device_id) or self._open(device)).sample
         service_time = device.write_chunk(address, payload)
-        self._service[device.device_id] += service_time
-        self.result.chunks_written += 1
-        self.result.bytes_written += len(payload)
-        sample = self._sample(device)
+        size = len(payload)
+        result = self.result
+        result.chunks_written += 1
+        result.bytes_written += size
         sample.writes += 1
-        sample.bytes_written += len(payload)
+        sample.bytes_written += size
         sample.seconds += service_time
 
-    def charge(self, device: FlashDevice, seconds: float) -> None:
-        """Bill raw device time (e.g. decode CPU attributed to the reader)."""
-        self._begin(device)
-        self._service[device.device_id] += seconds
-        self._sample(device).seconds += seconds
-
-    def finish(self, by_id: Dict[int, FlashDevice]) -> ArrayIoResult:
+    def finish(self) -> ArrayIoResult:
         elapsed = 0.0
-        for device_id, service in self._service.items():
-            completion = self._wait[device_id] + service
+        for lane in self._lanes.values():
+            completion = lane.wait + lane.sample.seconds
             elapsed = max(elapsed, completion)
-            device = by_id[device_id]
-            device.busy_until = self._start + completion
+            lane.device.busy_until = self._start + completion
         self.result.elapsed = elapsed
         return self.result
 
@@ -403,51 +419,62 @@ class FlashArray:
         if previous is not None and not overwrite:
             raise ObjectExistsError(f"object {key!r} already stored")
         online = self.online_devices
-        width = len(online)
-        data_per_stripe, is_replication = _scheme_geometry(scheme, width)
-        device_ids = [device.device_id for device in online]
+        data_per_stripe, is_replication = _scheme_geometry(scheme, len(online))
+        layouts = scheme.layouts(tuple(device.device_id for device in online))
         by_id = self._devices_by_id
 
-        extent = ObjectExtent(key=key, size=len(payload), scheme=scheme)
+        size = len(payload)
+        extent = ObjectExtent(key=key, size=size, scheme=scheme)
+        stripes = extent.stripes
+        data_bytes = redundancy_bytes = 0
         batch = _IoBatch(self.clock.now, op="write")
         offset = 0
         try:
             for stripe_payload, chunk_length in split_payload(
-                len(payload), self.chunk_size, data_per_stripe
+                size, self.chunk_size, data_per_stripe
             ):
                 stripe_id = self._next_stripe_id
                 self._next_stripe_id += 1
                 # Rotate by the *global* stripe id so parity lands evenly
                 # across devices regardless of object sizes (§IV-C.3).
-                plan = scheme.plan(device_ids, stripe_id)
-                raw = payload[offset : offset + stripe_payload]
-                offset += stripe_payload
-                # One (k, chunk_length) stack per stripe: parity comes out
-                # of a single fused matvec, no per-fragment re-wrapping.
-                stack = pack_fragments(raw, data_per_stripe, chunk_length)
+                plan = layouts[stripe_id % len(layouts)]
+                end = offset + stripe_payload
+                if stripe_payload == data_per_stripe * chunk_length:
+                    # Full stripe (every replicated one is): each data
+                    # fragment is stored from one slice of the payload.
+                    stack = None
+                    fragments = [
+                        payload[start : start + chunk_length]
+                        for start in range(offset, end, chunk_length)
+                    ]
+                else:
+                    # Short tail stripe: zero-padded to equal fragments.
+                    stack = pack_fragments(payload[offset:end], data_per_stripe, chunk_length)
+                    fragments = [row.tobytes() for row in stack]
                 if is_replication:
-                    stripe_fragments = [stack[0].tobytes()] * len(plan)
                     parity_count = 0
+                    fragments *= len(plan)
                 else:
                     parity_count = len(plan) - data_per_stripe
-                    codec = self._codec(data_per_stripe, parity_count)
-                    parity = codec.encode_arrays(stack)
-                    stripe_fragments = [
-                        stack[index].tobytes() for index in range(data_per_stripe)
-                    ] + [parity[row].tobytes() for row in range(parity_count)]
+                    if stack is None:
+                        # The RS stack of a full stripe is a zero-copy view.
+                        stack = np.frombuffer(
+                            payload, dtype=np.uint8, count=stripe_payload, offset=offset
+                        ).reshape(data_per_stripe, chunk_length)
+                    # One fused matvec per stripe, no per-fragment re-wrapping.
+                    parity = self._codec(data_per_stripe, parity_count).encode_arrays(stack)
+                    fragments.extend(parity[row].tobytes() for row in range(parity_count))
+                offset = end
                 locations: List[ChunkLocation] = []
                 for slot in plan:
-                    chunk_payload = stripe_fragments[slot.fragment_index]
                     location = ChunkLocation(
-                        stripe_id=stripe_id,
-                        fragment_index=slot.fragment_index,
-                        device_id=slot.device_id,
-                        kind=slot.kind,
-                        length=len(chunk_payload),
+                        stripe_id, slot.fragment_index, slot.device_id, slot.kind, chunk_length
                     )
-                    batch.write(by_id[slot.device_id], location.address, chunk_payload)
+                    batch.write(
+                        by_id[slot.device_id], location.address, fragments[slot.fragment_index]
+                    )
                     locations.append(location)
-                extent.stripes.append(
+                stripes.append(
                     StripeDescriptor(
                         stripe_id=stripe_id,
                         payload_bytes=stripe_payload,
@@ -457,6 +484,8 @@ class FlashArray:
                         replicated=is_replication,
                     )
                 )
+                data_bytes += data_per_stripe * chunk_length
+                redundancy_bytes += (len(plan) - data_per_stripe) * chunk_length
         except (FlashError, ErasureError):
             # Roll back on storage/encoding failures (device full, failed
             # mid-write, infeasible layout): drop the partially written new
@@ -465,18 +494,17 @@ class FlashArray:
             # and programming errors must never be silently swallowed here.
             self._discard_chunks(extent)
             raise
+        extent.data_bytes = data_bytes
+        extent.redundancy_bytes = redundancy_bytes
         if previous is not None:
-            self._discard_chunks(previous)
-            self._unregister_stripes(previous)
-            self._logical_bytes -= previous.size
-            self._data_bytes -= previous.data_bytes
-            self._redundancy_bytes -= previous.redundancy_bytes
+            self._forget(previous)
         self._objects[key] = extent
-        for stripe in extent.stripes:
-            self._stripe_owners[stripe.stripe_id] = key
-        self._logical_bytes += extent.size
-        self._data_bytes += extent.data_bytes
-        self._redundancy_bytes += extent.redundancy_bytes
+        owners = self._stripe_owners
+        for stripe in stripes:
+            owners[stripe.stripe_id] = key
+        self._logical_bytes += size
+        self._data_bytes += data_bytes
+        self._redundancy_bytes += redundancy_bytes
         return self._finish(batch)
 
     def _discard_chunks(self, extent: ObjectExtent) -> None:
@@ -484,17 +512,21 @@ class FlashArray:
         by_id = self._devices_by_id
         for stripe in extent.stripes:
             for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    device.delete_chunk(chunk.address)
+                by_id[chunk.device_id].discard_chunk(chunk.address)
 
-    def _unregister_stripes(self, extent: ObjectExtent) -> None:
+    def _forget(self, extent: ObjectExtent) -> None:
+        """Drop a stored extent: its chunks, stripe owners and space totals."""
+        self._discard_chunks(extent)
+        owners = self._stripe_owners
         for stripe in extent.stripes:
-            self._stripe_owners.pop(stripe.stripe_id, None)
+            owners.pop(stripe.stripe_id, None)
+        self._logical_bytes -= extent.size
+        self._data_bytes -= extent.data_bytes
+        self._redundancy_bytes -= extent.redundancy_bytes
 
     def _finish(self, batch: "_IoBatch") -> ArrayIoResult:
         """Close a batch and feed the observation to the health monitor."""
-        result = batch.finish(self.devices)
+        result = batch.finish()
         if self.health is not None:
             self.health.ingest(result, self.clock.now)
         return result
@@ -515,16 +547,18 @@ class FlashArray:
         by_id = self._devices_by_id
         pieces: List[bytes] = []
         for stripe in extent.stripes:
-            pieces.append(self._read_stripe(stripe, batch, by_id))
-        payload = b"".join(pieces)[: extent.size]
-        return payload, self._finish(batch)
+            self._read_stripe(stripe, batch, by_id, pieces)
+        return b"".join(pieces), self._finish(batch)
 
     @staticmethod
     def _fragment_order(
-        available: Dict[int, ChunkLocation], by_id: Dict[int, FlashDevice]
-    ) -> List[int]:
-        """Fragment indices, trusted fragments first.
+        stripe: StripeDescriptor,
+        by_id: Dict[int, FlashDevice],
+        missing: Optional[List[ChunkLocation]] = None,
+    ) -> List[ChunkLocation]:
+        """The stripe's readable fragments, trusted fragments first.
 
+        The ranking key is ``(known corrupt, not ONLINE, fragment index)``.
         Two demotions: fragments whose address already tripped a checksum
         (in the device's ``corrupt_chunks``, awaiting scrub) go last — they
         *will* fail again, and rereading them just feeds error telemetry
@@ -533,37 +567,58 @@ class FlashArray:
         the healthy ones cannot satisfy the stripe. Within a tier, index
         order keeps data fragments ahead of parity (cheapest path when
         nothing is wrong).
+
+        One pass, no sort in the common case: a trusted fragment's key is
+        ``(False, False, index)``, below every demoted key, so trusted
+        fragments come first in index order — placed by index (indices
+        are ``0..width-1``), not sorted. Only demoted fragments are
+        sorted. When every data fragment is trusted the order is
+        ``0..k-1`` followed by the parity ranked by the key. Callers take
+        this snapshot before their first read.
+
+        ``missing``, when given, collects the chunks absent from an ONLINE
+        home device (what a rebuild can write back) in the same pass.
         """
-
-        def rank(index: int) -> Tuple[bool, bool, int]:
-            chunk = available[index]
+        trusted: List[Optional[ChunkLocation]] = [None] * len(stripe.chunks)
+        demoted: List[Tuple[bool, bool, int, ChunkLocation]] = []
+        for chunk in stripe.chunks:
             device = by_id[chunk.device_id]
-            return (chunk.address in device.corrupt_chunks, not device.is_online, index)
-
-        return sorted(available, key=rank)
+            address = chunk.address
+            if not device.has_chunk(address):
+                if missing is not None and device.state is _ONLINE:
+                    missing.append(chunk)
+                continue
+            corrupt = address in device.corrupt_chunks
+            suspect = device.state is not _ONLINE
+            if corrupt or suspect:
+                demoted.append((corrupt, suspect, chunk.fragment_index, chunk))
+            else:
+                trusted[chunk.fragment_index] = chunk
+        order = [chunk for chunk in trusted if chunk is not None]
+        if demoted:
+            demoted.sort(key=lambda entry: entry[:3])
+            order.extend(entry[3] for entry in demoted)
+        return order
 
     def _read_stripe(
         self,
         stripe: StripeDescriptor,
         batch: _IoBatch,
         by_id: Dict[int, FlashDevice],
-    ) -> bytes:
-        available: Dict[int, ChunkLocation] = {}
-        for chunk in stripe.chunks:
-            device = by_id[chunk.device_id]
-            if device.has_chunk(chunk.address):
-                available[chunk.fragment_index] = chunk
-
+        pieces: List[bytes],
+    ) -> None:
+        """Append the stripe's payload bytes to ``pieces``."""
+        order = self._fragment_order(stripe, by_id)
         if stripe.replicated:
-            for index in self._fragment_order(available, by_id):
-                chunk = available[index]
-                payload = self._read_fragment(batch, by_id, chunk)
+            for chunk in order:
+                payload = batch.try_read(by_id[chunk.device_id], chunk.address)
                 if payload is None:
                     batch.result.degraded = True
                     continue
                 if chunk.kind is not ChunkKind.DATA:
                     batch.result.degraded = True
-                return payload[: stripe.payload_bytes]
+                pieces.append(payload[: stripe.payload_bytes])
+                return
             raise UnrecoverableDataError(
                 f"stripe {stripe.stripe_id}: all replicas lost or corrupted"
             )
@@ -573,44 +628,33 @@ class FlashArray:
         # Pull fragments trusted-first (data before parity within a tier); a
         # checksum failure drops the fragment and the next survivor takes
         # its place.
-        for index in self._fragment_order(available, by_id):
+        for chunk in order:
             if len(fragments) == k:
                 break
-            payload = self._read_fragment(batch, by_id, available[index])
+            payload = batch.try_read(by_id[chunk.device_id], chunk.address)
             if payload is None:
                 batch.result.degraded = True
                 continue
-            fragments[index] = payload
+            fragments[chunk.fragment_index] = payload
         if len(fragments) < k:
             raise UnrecoverableDataError(
                 f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, "
                 f"{k} needed"
             )
-        if all(index in fragments for index in range(k)):
-            return b"".join(fragments[i] for i in range(k))[: stripe.payload_bytes]
+        if max(fragments) < k:
+            data = [fragments[index] for index in range(k)]
+            # A full stripe's fragments go straight into read_object's one
+            # join; only a padded tail stripe is trimmed here.
+            if stripe.payload_bytes == k * len(data[0]):
+                pieces.extend(data)
+            else:
+                pieces.append(b"".join(data)[: stripe.payload_bytes])
+            return
         batch.result.degraded = True
         codec = self._codec(k, stripe.parity_count)
         # decode_arrays returns a contiguous (k, length) stack, so the
         # stripe payload is its raw row-major bytes — one copy, no joins.
-        data = codec.decode_arrays(fragments)
-        return data.tobytes()[: stripe.payload_bytes]
-
-    @staticmethod
-    def _read_fragment(
-        batch: _IoBatch,
-        by_id: Dict[int, FlashDevice],
-        chunk: ChunkLocation,
-    ) -> Optional[bytes]:
-        """Read one fragment; corruption or a transient fault returns None.
-
-        Either way the error is recorded in the batch's per-device sample
-        (health-monitor food); corruption additionally lands in the
-        device's ``corrupt_chunks`` set for targeted scrubbing.
-        """
-        try:
-            return batch.read(by_id[chunk.device_id], chunk.address)
-        except (ChunkCorruptedError, TransientIoError):
-            return None
+        pieces.append(codec.decode_arrays(fragments).tobytes()[: stripe.payload_bytes])
 
     # ------------------------------------------------------------------
     # Partial updates (paper §II-B: direct vs delta parity updating)
@@ -735,17 +779,8 @@ class FlashArray:
     def delete_object(self, key: ObjectKey) -> ArrayIoResult:
         """Remove an object's chunks (from online devices) and metadata."""
         extent = self.get_extent(key)
-        by_id = self._devices_by_id
-        for stripe in extent.stripes:
-            for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    device.delete_chunk(chunk.address)
         del self._objects[key]
-        self._unregister_stripes(extent)
-        self._logical_bytes -= extent.size
-        self._data_bytes -= extent.data_bytes
-        self._redundancy_bytes -= extent.redundancy_bytes
+        self._forget(extent)
         # Deletes are metadata-only (TRIM); no simulated time billed.
         return ArrayIoResult()
 
@@ -845,21 +880,14 @@ class FlashArray:
         by_id = self._devices_by_id
         batch = _IoBatch(self.clock.now, op="rebuild")
         for stripe in extent.stripes:
-            available: Dict[int, ChunkLocation] = {}
             missing: List[ChunkLocation] = []
-            for chunk in stripe.chunks:
-                device = by_id[chunk.device_id]
-                if device.has_chunk(chunk.address):
-                    available[chunk.fragment_index] = chunk
-                elif device.is_online:
-                    missing.append(chunk)
+            order = self._fragment_order(stripe, by_id, missing)
             if not missing:
                 continue
             if stripe.replicated:
                 payload = None
-                for index in self._fragment_order(available, by_id):
-                    source = available[index]
-                    payload = self._read_fragment(batch, by_id, source)
+                for source in order:
+                    payload = batch.try_read(by_id[source.device_id], source.address)
                     if payload is not None:
                         break
                 if payload is None:
@@ -871,12 +899,12 @@ class FlashArray:
                 continue
             k = stripe.data_count
             fragments: Dict[int, bytes] = {}
-            for index in self._fragment_order(available, by_id):
+            for source in order:
                 if len(fragments) == k:
                     break
-                payload = self._read_fragment(batch, by_id, available[index])
+                payload = batch.try_read(by_id[source.device_id], source.address)
                 if payload is not None:
-                    fragments[index] = payload
+                    fragments[source.fragment_index] = payload
             if len(fragments) < k:
                 raise UnrecoverableDataError(
                     f"stripe {stripe.stripe_id}: {len(fragments)} readable fragments, "
@@ -950,7 +978,7 @@ class FlashArray:
                 if not device.has_chunk(chunk.address):
                     continue
                 report.chunks_checked += 1
-                payload = self._read_fragment(batch, by_id, chunk)
+                payload = batch.try_read(device, chunk.address)
                 if payload is None:
                     bad.append(chunk)
                 else:

@@ -43,6 +43,10 @@ class DeviceState(enum.Enum):
     FAILED = "failed"
 
 
+_ONLINE = DeviceState.ONLINE
+_FAILED = DeviceState.FAILED
+
+
 @dataclass
 class DeviceStats:
     """Cumulative I/O counters for one device."""
@@ -103,10 +107,11 @@ class FlashDevice:
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError("device capacity must be positive")
-        self._chunks: Dict[ChunkAddress, bytes] = {}
-        #: CRC32 recorded at program time, verified on every read — the
-        #: defence against silent (bit-rot) corruption.
-        self._checksums: Dict[ChunkAddress, int] = {}
+        #: address -> (stored bytes, CRC32 recorded at program time). The
+        #: CRC is verified on every read — the defence against silent
+        #: (bit-rot) corruption. One entry per chunk, so a write, read or
+        #: delete is one dict operation.
+        self._chunks: Dict[ChunkAddress, Tuple[bytes, int]] = {}
         self._used = 0
         #: Addresses whose last read failed its checksum, still unrepaired.
         #: Lets the health monitor and the scrub scheduler target the damage
@@ -132,50 +137,58 @@ class FlashDevice:
     @property
     def is_online(self) -> bool:
         """True only for fully-trusted ONLINE devices (placement eligibility)."""
-        return self.state is DeviceState.ONLINE
+        return self.state is _ONLINE
 
     @property
     def is_available(self) -> bool:
         """True when the device can serve I/O (ONLINE or SUSPECT)."""
-        return self.state is not DeviceState.FAILED
+        return self.state is not _FAILED
 
     # ------------------------------------------------------------------
     # I/O — each call returns the simulated service time in seconds.
     # ------------------------------------------------------------------
     def write_chunk(self, address: ChunkAddress, payload: bytes) -> float:
         """Store (or overwrite) a chunk; returns the simulated service time."""
-        self._check_serviceable()
-        if self.fault_injector is not None:
-            self.fault_injector.on_write(self, address)
-            self._check_serviceable()
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
+        injector = self.fault_injector
+        if injector is not None:
+            injector.on_write(self, address)
+            if self.state is _FAILED:
+                raise DeviceFailedError(self.device_id)
+        size = len(payload)
         previous = self._chunks.get(address)
-        new_used = self._used - (len(previous) if previous is not None else 0) + len(payload)
+        new_used = self._used + size
+        if previous is not None:
+            new_used -= len(previous[0])
         if new_used > self.capacity_bytes:
             raise DeviceFullError(
-                f"device {self.device_id}: chunk of {len(payload)} bytes does not fit "
+                f"device {self.device_id}: chunk of {size} bytes does not fit "
                 f"({self.free_bytes} free)"
             )
+        stats = self.stats
         if previous is not None:
             # Overwriting flash means programming new pages; the old ones are
             # erased by garbage collection, which we bill immediately.
-            self.stats.erases += 1
+            stats.erases += 1
             if self.ftl is not None:
-                self.ftl.trim_extent(address, len(previous))
-        self._chunks[address] = bytes(payload)
-        self._checksums[address] = zlib.crc32(payload)
+                self.ftl.trim_extent(address, len(previous[0]))
+        stored = bytes(payload)
+        self._chunks[address] = (stored, zlib.crc32(stored))
         self._used = new_used
-        self.corrupt_chunks.discard(address)
+        if self.corrupt_chunks:
+            self.corrupt_chunks.discard(address)
         if self.ftl is not None:
-            self.ftl.write_extent(address, len(payload))
-        self.stats.writes += 1
-        self.stats.programs += 1
-        self.stats.bytes_written += len(payload)
-        if self.fault_injector is not None:
+            self.ftl.write_extent(address, size)
+        stats.writes += 1
+        stats.programs += 1
+        stats.bytes_written += size
+        if injector is not None:
             # Torn-write injection mutates the just-programmed bytes.
-            self.fault_injector.after_write(self, address)
-        service = self.model.write_time(len(payload))
-        if self.fault_injector is not None:
-            service = self.fault_injector.scale_time(self, service)
+            injector.after_write(self, address)
+        service = self.model.write_time(size)
+        if injector is not None:
+            service = injector.scale_time(self, service)
         return service
 
     def read_chunk(self, address: ChunkAddress) -> Tuple[bytes, float]:
@@ -188,51 +201,67 @@ class FlashDevice:
                 until a rewrite repairs it.
             TransientIoError: injected soft failure; the chunk is intact.
         """
-        self._check_serviceable()
-        if self.fault_injector is not None:
+        if self.state is _FAILED:
+            raise DeviceFailedError(self.device_id)
+        injector = self.fault_injector
+        if injector is not None:
             # May raise TransientIoError, rot the stored bytes (caught by
             # the CRC check below), or fire a due fail-stop on any device.
-            self.fault_injector.on_read(self, address)
-            self._check_serviceable()
+            injector.on_read(self, address)
+            if self.state is _FAILED:
+                raise DeviceFailedError(self.device_id)
         try:
-            payload = self._chunks[address]
+            payload, checksum = self._chunks[address]
         except KeyError:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        self.stats.reads += 1
-        self.stats.bytes_read += len(payload)
-        if zlib.crc32(payload) != self._checksums[address]:
+        size = len(payload)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += size
+        if zlib.crc32(payload) != checksum:
             self.corrupt_chunks.add(address)
             raise ChunkCorruptedError(
                 f"device {self.device_id}: checksum mismatch at {address}"
             )
-        service = self.model.read_time(len(payload))
-        if self.fault_injector is not None:
-            service = self.fault_injector.scale_time(self, service)
+        service = self.model.read_time(size)
+        if injector is not None:
+            service = injector.scale_time(self, service)
         return payload, service
 
     def delete_chunk(self, address: ChunkAddress) -> None:
         """Drop a chunk. Deleting a missing chunk raises; deletes are metadata
         operations and are billed no simulated time (TRIM is asynchronous)."""
         self._check_serviceable()
-        try:
-            payload = self._chunks.pop(address)
-        except KeyError:
-            raise ChunkMissingError(
-                f"device {self.device_id}: no chunk at {address}"
-            ) from None
-        self._checksums.pop(address, None)
-        self.corrupt_chunks.discard(address)
-        self._used -= len(payload)
+        if not self.discard_chunk(address):
+            raise ChunkMissingError(f"device {self.device_id}: no chunk at {address}")
+
+    def discard_chunk(self, address: ChunkAddress) -> bool:
+        """Drop a chunk if the device can serve it and holds it.
+
+        Returns False (and changes nothing) for a failed device or an
+        absent chunk — one dict operation instead of :meth:`has_chunk`
+        followed by :meth:`delete_chunk`. Billed no simulated time.
+        """
+        if self.state is _FAILED:
+            return False
+        entry = self._chunks.pop(address, None)
+        if entry is None:
+            return False
+        size = len(entry[0])
+        if self.corrupt_chunks:
+            self.corrupt_chunks.discard(address)
+        self._used -= size
         self.stats.deletes += 1
         self.stats.erases += 1
         if self.ftl is not None:
-            self.ftl.trim_extent(address, len(payload))
+            self.ftl.trim_extent(address, size)
+        return True
 
     def has_chunk(self, address: ChunkAddress) -> bool:
         """True if the chunk is present *and* the device can serve it."""
-        return self.is_available and address in self._chunks
+        return self.state is not _FAILED and address in self._chunks
 
     def verify_chunk(self, address: ChunkAddress) -> bool:
         """Recompute a stored chunk's checksum without billing an I/O.
@@ -242,12 +271,12 @@ class FlashDevice:
         """
         self._check_serviceable()
         try:
-            payload = self._chunks[address]
+            payload, checksum = self._chunks[address]
         except KeyError:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        return zlib.crc32(payload) == self._checksums[address]
+        return zlib.crc32(payload) == checksum
 
     # ------------------------------------------------------------------
     # Failure lifecycle
@@ -278,15 +307,16 @@ class FlashDevice:
         """
         self._check_serviceable()
         try:
-            payload = bytearray(self._chunks[address])
+            stored, checksum = self._chunks[address]
         except KeyError:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
             ) from None
-        if not payload or not flip & 0xFF:
+        if not stored or not flip & 0xFF:
             return False
+        payload = bytearray(stored)
         payload[offset % len(payload)] ^= flip & 0xFF
-        self._chunks[address] = bytes(payload)
+        self._chunks[address] = (bytes(payload), checksum)
         return True
 
     def tear_stored(self, address: ChunkAddress, keep_fraction: float) -> bool:
@@ -300,7 +330,7 @@ class FlashDevice:
         """
         self._check_serviceable()
         try:
-            payload = self._chunks[address]
+            payload, checksum = self._chunks[address]
         except KeyError:
             raise ChunkMissingError(
                 f"device {self.device_id}: no chunk at {address}"
@@ -313,14 +343,13 @@ class FlashDevice:
         torn = payload[:keep] if keep else b""
         if keep == len(payload) - 1:
             torn = payload[:-1] + bytes([payload[-1] ^ 0xFF])
-        self._chunks[address] = torn
+        self._chunks[address] = (torn, checksum)
         self._used -= len(payload) - len(torn)
         return True
 
     def replace(self) -> None:
         """Swap in a fresh spare at this slot: empty, online, zero queue."""
         self._chunks.clear()
-        self._checksums.clear()
         self.corrupt_chunks.clear()
         self._used = 0
         self.state = DeviceState.ONLINE
@@ -331,7 +360,7 @@ class FlashDevice:
             self.ftl = type(self.ftl)(self.ftl.config)
 
     def _check_serviceable(self) -> None:
-        if not self.is_available:
+        if self.state is _FAILED:
             raise DeviceFailedError(self.device_id)
 
     def __repr__(self) -> str:

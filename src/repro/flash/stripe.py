@@ -58,20 +58,49 @@ class FragmentSlot:
     kind: ChunkKind
 
 
-@dataclass(frozen=True)
 class ChunkLocation:
-    """A placed chunk: stripe, fragment, device, role, and size."""
+    """A placed chunk: stripe, fragment, device, role, and size.
 
-    stripe_id: int
-    fragment_index: int
-    device_id: int
-    kind: ChunkKind
-    length: int
+    A slotted record, built once per chunk on the write path and read on
+    every access after that, so ``address`` is stored at construction
+    rather than rebuilt per call. Treat it as immutable.
+    """
 
-    @property
-    def address(self) -> Tuple[int, int]:
-        """The on-device address, ``(stripe_id, fragment_index)``."""
-        return (self.stripe_id, self.fragment_index)
+    __slots__ = ("stripe_id", "fragment_index", "device_id", "kind", "length", "address")
+
+    def __init__(
+        self,
+        stripe_id: int,
+        fragment_index: int,
+        device_id: int,
+        kind: ChunkKind,
+        length: int,
+    ) -> None:
+        self.stripe_id = stripe_id
+        self.fragment_index = fragment_index
+        self.device_id = device_id
+        self.kind = kind
+        self.length = length
+        #: The on-device address, ``(stripe_id, fragment_index)``.
+        self.address: Tuple[int, int] = (stripe_id, fragment_index)
+
+    def _fields(self) -> Tuple[int, int, int, ChunkKind, int]:
+        return (self.stripe_id, self.fragment_index, self.device_id, self.kind, self.length)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChunkLocation):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ChunkLocation(stripe_id={self.stripe_id}, "
+            f"fragment_index={self.fragment_index}, device_id={self.device_id}, "
+            f"kind={self.kind!r}, length={self.length})"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,20 +150,23 @@ class RedundancyScheme:
     def plan(self, devices: Sequence[int], rotation: int) -> List[FragmentSlot]:
         """Assign fragment roles to device slots for one stripe.
 
-        Placement repeats every ``width`` stripes, so only ``width``
-        distinct layouts exist per device set — the hot write path asks
-        for one per stripe, and the memoized table answers from cache.
-
         Args:
             devices: ids of the online devices the stripe will span.
             rotation: stripe sequence number, used to rotate parity/primary
                 placement round-robin.
         """
-        width = len(devices)
-        self.validate(width)
-        return list(
-            _cached_plan(self, tuple(devices), self._plan_rotation(width, rotation))
-        )
+        layouts = self.layouts(tuple(devices))
+        return list(layouts[rotation % len(layouts)])
+
+    def layouts(self, devices: Tuple[int, ...]) -> Tuple[Tuple[FragmentSlot, ...], ...]:
+        """Every stripe layout over ``devices``, indexed by ``rotation % width``.
+
+        Placement repeats every ``width`` stripes, so only ``width``
+        distinct layouts exist per device set. The write path fetches the
+        whole table once per object (one memoized probe) and indexes it
+        per stripe.
+        """
+        return _cached_layouts(self, devices)
 
     def _plan_rotation(self, width: int, rotation: int) -> int:
         """Normalize a stripe id to the scheme's placement period."""
@@ -259,13 +291,19 @@ class ReplicationScheme(RedundancyScheme):
         return slots
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_plan(
-    scheme: RedundancyScheme, devices: Tuple[int, ...], rotation: int
-) -> Tuple[FragmentSlot, ...]:
-    """Memoized stripe layouts: schemes and slots are frozen, so sharing
-    the table across calls is safe."""
-    return tuple(scheme._plan_slots(devices, rotation))
+@functools.lru_cache(maxsize=1024)
+def _cached_layouts(
+    scheme: RedundancyScheme, devices: Tuple[int, ...]
+) -> Tuple[Tuple[FragmentSlot, ...], ...]:
+    """Memoized layout tables: schemes and slots are frozen, so sharing
+    them across calls is safe. An invalid width raises on every call
+    (``lru_cache`` does not cache exceptions)."""
+    width = len(devices)
+    scheme.validate(width)
+    return tuple(
+        tuple(scheme._plan_slots(devices, scheme._plan_rotation(width, rotation)))
+        for rotation in range(width)
+    )
 
 
 def pack_fragments(raw: bytes, count: int, chunk_length: int) -> np.ndarray:

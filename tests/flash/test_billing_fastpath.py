@@ -127,6 +127,15 @@ class TestDeviceMapCache:
         for device in array.devices:
             assert array._devices_by_id[device.device_id] is device
 
+    def test_busy_until_lands_on_the_device_that_did_the_io(self):
+        # Billing goes by device id, not by position in ``array.devices``.
+        array = make_array()
+        array.devices.reverse()
+        result = array.write_object("a", payload_of(64), ReplicationScheme(2))
+        busy = {device.device_id for device in array.devices if device.busy_until > 0}
+        assert busy == set(result.device_io)
+        assert len(busy) == 2
+
     def test_billing_lands_on_replaced_device(self):
         array = make_array()
         array.write_object("a", payload_of(512), ParityScheme(1))

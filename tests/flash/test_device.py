@@ -102,6 +102,20 @@ class TestIo:
         with pytest.raises(ChunkMissingError):
             device.delete_chunk((1, 0))
 
+    def test_discard_chunk_drops_only_what_a_live_device_holds(self):
+        device = make_device()
+        device.write_chunk((1, 0), b"xyz")
+        device.write_chunk((2, 0), b"ab")
+        device.corrupt_chunks.add((1, 0))
+        assert not device.discard_chunk((9, 9))
+        assert device.discard_chunk((1, 0))
+        assert (device.used_bytes, device.stats.deletes, device.stats.erases) == (2, 1, 1)
+        assert not device.has_chunk((1, 0))
+        assert (1, 0) not in device.corrupt_chunks
+        device.fail()
+        assert not device.discard_chunk((2, 0))
+        assert device.used_bytes == 2
+
     def test_service_time_uses_model(self):
         from repro.flash.latency import ServiceTimeModel
 
