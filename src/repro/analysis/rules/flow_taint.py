@@ -8,18 +8,24 @@ functions of the seed. The PR-8 near-miss is the canonical hazard: the
 shard health detector's transition reasons embed live EWMA readings
 (``"error_ewma=0.412"``) fed from ``loop.time()`` round trips — book one
 of those strings into the ledger and every run produces a different
-artefact. That bug is *cross-module by nature*: the EWMA is read in
-``cluster/health.py``, formatted into a string there, and the booking
-happens two calls away in ``cluster/supervisor.py``.
+artefact. That bug is *cross-module by nature*: the EWMA is folded and
+formatted into a reason string by the shared health tracker in
+``core/health.py``, carried out on a ``ShardTransition`` by the shard
+adapter in ``cluster/health.py``, and booked two calls away in
+``cluster/supervisor.py``.
 
 This rule tracks that flow over the project call graph:
 
 - **sources** — wall-clock calls (the ``time.time``/``perf_counter``/
-  ``monotonic`` family, ``datetime.now``-family, ``loop.time()``) plus,
+  ``monotonic`` family, ``datetime.now``-family, ``loop.time()``);
   inside the wall-clock domain (``repro.net``, ``repro.cluster``), any
-  read of an ``*ewma*``-named attribute (those EWMAs are
-  host-latency-fed; the SimClock-fed EWMAs under ``repro.core`` are
-  seed-deterministic and stay clean);
+  read of an ``*ewma*``-named attribute; and, anywhere, reads of the
+  fields listed in ``_WALL_TYPES`` on a value whose static type is known:
+  the shard detector's ``ShardHealth`` EWMAs and baseline and its
+  ``ShardTransition.reason``/``.at``. The tracker in ``repro.core`` does
+  the EWMA arithmetic for devices (SimClock-fed, seed-deterministic) and
+  shards (host-latency-fed) alike, so the module that does the math
+  cannot tell the clock domains apart; the shard adapter's types can;
 - **propagation** — through local assignment, arithmetic, f-strings and
   ``str.format``; *across functions* through returned values, through
   arguments into callee parameters, through constructor arguments into
@@ -78,6 +84,14 @@ _WALL_CLOCK_CALLS = {
 _PASSTHROUGH = {"str", "repr", "format", "round", "abs", "min", "max", "float", "int"}
 #: Modules whose EWMAs are host-latency-fed (reading one is a source).
 _WALL_DOMAIN = ("repro.net", "repro.cluster")
+#: Class fields that hold host-latency-fed values wherever they are read.
+#: The shard detector's EWMA arithmetic and reason strings live in the
+#: shared tracker in ``repro.core`` (seed-deterministic for devices), so
+#: the shard side's clock domain is declared on the adapter's own types.
+_WALL_TYPES: Dict[str, Tuple[str, ...]] = {
+    "repro.cluster.health:ShardHealth": ("error_ewma", "slowdown_ewma", "baseline"),
+    "repro.cluster.health:ShardTransition": ("at", "reason"),
+}
 #: Modules whose bench/ledger dict literals are artefact sinks.
 _ARTEFACT_MODULES = ("repro.experiments",)
 _LEDGER_CLASS = "DurabilityLedger"
@@ -148,6 +162,11 @@ class DeterminismTaintRule(ProjectRule):
 
     def check_project(self, graph: ProjectGraph) -> List[Finding]:
         facts = _Facts()
+        facts.tainted_fields.update(
+            (class_key, attr)
+            for class_key, attrs in _WALL_TYPES.items()
+            for attr in attrs
+        )
         # Grow summaries to a fixed point, then one reporting pass.
         for _ in range(24):
             before = facts.size()

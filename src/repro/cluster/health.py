@@ -1,44 +1,47 @@
 """Shard-level health monitoring: the cluster's failure detector.
 
-This is :mod:`repro.core.health` lifted one level up. The device monitor
-infers device failure from the I/O stream; here the *shard* (one OSD
-server behind a socket) is the unit of suspicion, and the evidence is
+:class:`ShardHealthMonitor` is the shard adapter over the shared
+:class:`~repro.core.health.HealthTracker`. The device monitor infers
+device failure from the I/O stream; here the *shard* (one OSD server
+behind a socket) is the unit of suspicion, and the evidence is
 round-trip observations — passive samples reported by the
 :class:`~repro.cluster.router.RouterClient` around every routed command,
-plus active heartbeats from a :class:`ShardProbe` loop, both folded into
-the same per-shard EWMAs:
+plus active heartbeats from a :class:`ShardProbe` loop, each folded into
+the tracker's EWMAs as one operation:
 
 - an **error-rate** EWMA (timeouts, connection failures, exhausted
   retries per observation), and
 - a **slowdown** EWMA — observed round-trip seconds over the shard's own
-  learned healthy baseline (the mean of its first successful samples), so
-  the metric is scale-free exactly like the device monitor's
-  model-relative slowdown: a healthy shard hovers near 1.0 and a
-  fail-slow link converges to its injected multiplier.
+  learned healthy baseline (the mean of its first successful samples,
+  never below ``baseline_floor``), so a healthy shard hovers near 1.0
+  and a fail-slow link converges to its injected multiplier.
 
-The same three-state discipline applies: ONLINE → SUSPECT on a threshold
-crossing (after ``min_ops`` warm-up), SUSPECT → FAILED only when the
-pathology *persists* for ``confirm_ops`` further observations or worsens
-past the hard thresholds — so a flapping link parks a shard in SUSPECT
-without condemning it, while sustained fail-slow escalates. The FAILED
-verdict is emitted as a :class:`ShardTransition` for the autonomous
+The tracker's verdicts apply unchanged — a flapping link parks a shard in
+SUSPECT without condemning it, while sustained fail-slow escalates — with
+one adapter choice: a SUSPECT shard whose evidence clears for
+``confirm_ops`` observations returns to ONLINE. The FAILED verdict is
+emitted as a :class:`ShardTransition` for the autonomous
 :class:`~repro.cluster.supervisor.ClusterSupervisor` loop to act on
 (drain → condemn → re-home), keeping detection separate from repair.
 
 The monitor holds no clock of its own: callers stamp every observation
 with their ``now``. Transitions carry those wall timestamps for the
-chaos campaign's detection-latency metric, but nothing here feeds the
-DurabilityLedger directly — the supervisor books ledger entries on its
-own logical step clock, which is what keeps ledgers byte-identical per
-seed despite wall-time noise.
+chaos campaign's detection-latency metric, and their reasons embed
+wall-fed EWMA readings, so nothing here feeds the DurabilityLedger
+directly — the supervisor books ledger entries on its own logical step
+clock, which is what keeps ledgers byte-identical per seed despite
+wall-time noise. The determinism-taint rule treats :class:`ShardHealth`
+EWMAs and :class:`ShardTransition` reasons/timestamps as wall-clock
+values wherever they are read.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
+from repro.core.health import HealthRecord, HealthTracker, VerdictPolicy
 from repro.net.client import OsdServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for annotations
@@ -54,26 +57,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ShardHealthPolicy:
+class ShardHealthPolicy(VerdictPolicy):
     """Thresholds separating network noise from a demotion-worthy shard.
 
     The numbers are deliberately hotter than the device policy's: a shard
     observation is a whole round trip (already smoothed over many device
     ops), sample rates are lower (per command + heartbeat, not per chunk),
     and a condemned shard is rebuilt from redundancy rather than thrown
-    away — so the detector can afford to be decisive.
+    away — so the detector can afford to be decisive. The shared
+    thresholds are documented on :class:`~repro.core.health.VerdictPolicy`;
+    here ``min_ops`` is also the baseline-learning window for the
+    slowdown denominator.
 
     Attributes:
-        alpha: EWMA smoothing factor per observation.
-        min_ops: observations before any verdict (warm-up, also the
-            baseline-learning window for the slowdown denominator).
-        suspect_error_rate: error-rate EWMA demoting ONLINE → SUSPECT.
-        fail_error_rate: error-rate EWMA escalating SUSPECT → FAILED.
-        suspect_slowdown: slowdown EWMA demoting ONLINE → SUSPECT.
-        fail_slowdown: slowdown EWMA escalating straight to FAILED.
-        confirm_ops: observations a SUSPECT shard must stay past a suspect
-            threshold before escalation — one partition burst or a flap
-            window parks a shard; only persistent pathology condemns it.
         baseline_floor: lower bound (seconds) on the learned healthy
             baseline, so loopback's sub-millisecond round trips cannot
             make scheduler jitter register as a pathological slowdown.
@@ -88,32 +84,13 @@ class ShardHealthPolicy:
     confirm_ops: int = 12
     baseline_floor: float = 0.0005
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.suspect_error_rate > self.fail_error_rate:
-            raise ValueError("suspect_error_rate must not exceed fail_error_rate")
-        if self.suspect_slowdown > self.fail_slowdown:
-            raise ValueError("suspect_slowdown must not exceed fail_slowdown")
-        if self.min_ops < 1 or self.confirm_ops < 1:
-            raise ValueError("min_ops and confirm_ops must be >= 1")
-
 
 @dataclass
-class ShardHealth:
-    """The monitor's rolling picture of one shard."""
+class ShardHealth(HealthRecord):
+    """One shard's record, plus the learned round-trip baseline."""
 
-    shard_id: int
-    state: str = "online"  # "online" | "suspect" | "failed"
-    ops: int = 0
-    errors: int = 0
-    error_ewma: float = 0.0
-    slowdown_ewma: float = 1.0
     #: Learned healthy round-trip baseline (seconds); None while warming up.
     baseline: Optional[float] = None
-    #: ops counter value when the shard entered SUSPECT (escalation timer).
-    suspect_at_ops: Optional[int] = None
-    suspect_since: Optional[float] = None
     _baseline_sum: float = field(default=0.0, repr=False)
     _baseline_count: int = field(default=0, repr=False)
 
@@ -138,17 +115,16 @@ class ShardTransition(NamedTuple):
     reason: str
 
 
-ShardTransitionListener = Callable[[ShardTransition], None]
-
-
-class ShardHealthMonitor:
+class ShardHealthMonitor(HealthTracker[ShardTransition]):
     """Folds per-shard round-trip observations into SUSPECT/FAILED verdicts."""
 
+    # A flap that stopped flapping earns its way back to ONLINE.
+    recovers = True
+    policy: ShardHealthPolicy
+
     def __init__(self, policy: Optional[ShardHealthPolicy] = None) -> None:
-        self.policy = policy or ShardHealthPolicy()
+        super().__init__(policy or ShardHealthPolicy(), ShardTransition)
         self.shards: Dict[int, ShardHealth] = {}
-        self.listeners: List[ShardTransitionListener] = []
-        self.transitions: List[ShardTransition] = []
 
     # ------------------------------------------------------------------
     # Observation intake
@@ -169,12 +145,8 @@ class ShardHealthMonitor:
         """
         policy = self.policy
         health = self._health(shard_id)
-        health.ops += 1
-        alpha = policy.alpha
-        health.error_ewma += alpha * ((0.0 if ok else 1.0) - health.error_ewma)
-        if not ok:
-            health.errors += 1
-        elif latency is not None:
+        slowdown = None
+        if ok and latency is not None:
             if health.baseline is None:
                 health._baseline_sum += latency
                 health._baseline_count += 1
@@ -185,8 +157,8 @@ class ShardHealthMonitor:
                     )
             else:
                 slowdown = latency / health.baseline
-                health.slowdown_ewma += alpha * (slowdown - health.slowdown_ewma)
-        self._evaluate(health, now)
+        self._fold(health, 1, 0 if ok else 1, slowdown)
+        self._evaluate(shard_id, health, now)
 
     def reset(self, shard_id: int) -> None:
         """Forget a shard's record (re-admit after repair: fresh identity)."""
@@ -213,60 +185,9 @@ class ShardHealthMonitor:
     def _health(self, shard_id: int) -> ShardHealth:
         health = self.shards.get(shard_id)
         if health is None:
-            health = ShardHealth(shard_id=shard_id)
+            health = ShardHealth()
             self.shards[shard_id] = health
         return health
-
-    def _evaluate(self, health: ShardHealth, now: float) -> None:
-        policy = self.policy
-        if health.ops < policy.min_ops or health.state == "failed":
-            return
-        errs, slow = health.error_ewma, health.slowdown_ewma
-        if health.state == "online":
-            if errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown:
-                health.state = "suspect"
-                health.suspect_at_ops = health.ops
-                health.suspect_since = now
-                reason = (
-                    f"error_ewma={errs:.3f}"
-                    if errs >= policy.suspect_error_rate
-                    else f"slowdown_ewma={slow:.1f}"
-                )
-                self._emit(health.shard_id, "online", "suspect", now, reason)
-            return
-        # SUSPECT: escalate on hard thresholds or persistent pathology;
-        # recover to ONLINE when both EWMAs decay back under the suspect
-        # lines (a flap that stopped flapping earns its way back).
-        if errs >= policy.fail_error_rate or slow >= policy.fail_slowdown:
-            health.state = "failed"
-            self._emit(
-                health.shard_id, "suspect", "failed", now,
-                f"error_ewma={errs:.3f} slowdown_ewma={slow:.1f}",
-            )
-            return
-        still_bad = errs >= policy.suspect_error_rate or slow >= policy.suspect_slowdown
-        started = health.suspect_at_ops or 0
-        if still_bad and health.ops - started >= policy.confirm_ops:
-            health.state = "failed"
-            self._emit(
-                health.shard_id, "suspect", "failed", now,
-                f"persistent after {health.ops - started} ops",
-            )
-            return
-        if not still_bad and health.ops - started >= policy.confirm_ops:
-            health.state = "online"
-            health.suspect_at_ops = None
-            health.suspect_since = None
-            self._emit(health.shard_id, "suspect", "online", now, "recovered")
-
-    def _emit(
-        self, shard_id: int, old: str, new: str, at: float, reason: str
-    ) -> ShardTransition:
-        transition = ShardTransition(shard_id, old, new, at, reason)
-        self.transitions.append(transition)
-        for listener in list(self.listeners):
-            listener(transition)
-        return transition
 
 
 class ShardProbe:

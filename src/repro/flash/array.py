@@ -429,10 +429,13 @@ class FlashArray:
         data_bytes = redundancy_bytes = 0
         batch = _IoBatch(self.clock.now, op="write")
         offset = 0
+        # Chunks placed for the stripe being written (not in the extent yet).
+        locations: List[ChunkLocation] = []
         try:
             for stripe_payload, chunk_length in split_payload(
                 size, self.chunk_size, data_per_stripe
             ):
+                locations = []
                 stripe_id = self._next_stripe_id
                 self._next_stripe_id += 1
                 # Rotate by the *global* stripe id so parity lands evenly
@@ -465,7 +468,6 @@ class FlashArray:
                     parity = self._codec(data_per_stripe, parity_count).encode_arrays(stack)
                     fragments.extend(parity[row].tobytes() for row in range(parity_count))
                 offset = end
-                locations: List[ChunkLocation] = []
                 for slot in plan:
                     location = ChunkLocation(
                         stripe_id, slot.fragment_index, slot.device_id, slot.kind, chunk_length
@@ -493,6 +495,8 @@ class FlashArray:
             # Non-storage exceptions propagate untouched — injected faults
             # and programming errors must never be silently swallowed here.
             self._discard_chunks(extent)
+            for location in locations:
+                by_id[location.device_id].discard_chunk(location.address)
             raise
         extent.data_bytes = data_bytes
         extent.redundancy_bytes = redundancy_bytes

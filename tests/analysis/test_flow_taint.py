@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
+import repro
 from repro.analysis.rules import DeterminismTaintRule
 
 
@@ -204,3 +208,68 @@ def test_suppression_silences_a_booking(lint):
         """,
     )
     assert only(lint) == []
+
+
+def test_shard_detector_types_are_sources_wherever_read(lint):
+    # The shared tracker formats reasons in repro.core, so the shard side's
+    # wall-clock domain comes from its types; the device record stays clean.
+    lint.write(
+        "core/health.py",
+        """
+        class HealthRecord:
+            error_ewma: float = 0.0
+        """,
+    )
+    lint.write(
+        "cluster/health.py",
+        """
+        from typing import NamedTuple
+
+        from repro.core.health import HealthRecord
+
+        class ShardHealth(HealthRecord):
+            pass
+
+        class ShardTransition(NamedTuple):
+            shard_id: int
+            reason: str
+        """,
+    )
+    lint.write(
+        "core/book.py",
+        """
+        from repro.cluster.health import ShardHealth, ShardTransition
+        from repro.core.health import HealthRecord
+
+        def book(transition: ShardTransition, shard: ShardHealth, device: HealthRecord):
+            LEDGER.ledger.note(transition.shard_id)
+            LEDGER.ledger.note(device.error_ewma)
+            LEDGER.ledger.note(transition.reason)
+            LEDGER.ledger.note(shard.error_ewma)
+        """,
+    )
+    findings = only(lint)
+    assert {f.path.rsplit("/", 1)[-1] for f in findings} == {"book.py"}
+    assert sorted(f.line for f in findings) == [8, 9]
+
+
+def test_guard_fires_on_the_real_tree_when_a_verdict_reason_is_booked(lint):
+    # The real tree, with the supervisor booking the detector's own reason
+    # (EWMA readings from wall-clock round trips) instead of fixed text.
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        lint.root / "src" / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    supervisor = lint.root / "src" / "repro" / "cluster" / "supervisor.py"
+    source = supervisor.read_text(encoding="utf-8")
+    assert 'reason="auto: detector verdict"' in source
+    supervisor.write_text(
+        source.replace('reason="auto: detector verdict"', "reason=transition.reason"),
+        encoding="utf-8",
+    )
+    findings = only(lint)
+    assert any(
+        f.rule_id == "determinism-taint" and f.symbol.startswith("ClusterSupervisor.")
+        for f in findings
+    )

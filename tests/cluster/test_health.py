@@ -9,6 +9,7 @@ from repro.cluster.health import (
     ShardHealthPolicy,
     ShardProbe,
 )
+from repro.core.health import HealthPolicy
 
 BASE = 0.001  # healthy round-trip used to warm baselines
 
@@ -28,6 +29,12 @@ class TestPolicyValidation:
             ShardHealthPolicy(suspect_slowdown=10.0, fail_slowdown=5.0)
         with pytest.raises(ValueError):
             ShardHealthPolicy(alpha=0.0)
+        # The device policy shares the same validation.
+        for policy in (HealthPolicy, ShardHealthPolicy):
+            with pytest.raises(ValueError):
+                policy(min_ops=0)
+            with pytest.raises(ValueError):
+                policy(confirm_ops=0)
 
 
 class TestWarmup:

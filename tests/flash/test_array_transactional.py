@@ -77,6 +77,22 @@ class TestTransactionalOverwrite:
         assert array.object_health("a") is ObjectHealth.HEALTHY
         assert array.read_object("a")[0] == data
 
+    @pytest.mark.parametrize(
+        "scheme", [ReplicationScheme(copies=4), ParityScheme(1)], ids=["replication", "rs"]
+    )
+    def test_failure_mid_stripe_leaves_no_orphans(self, scheme):
+        # Device 2 is nearly full, so the first stripe's write fails after
+        # some of its chunks already landed on other devices.
+        array = FlashArray(num_devices=4, device_capacity=1_000, chunk_size=500, model=ZERO_COST)
+        array.devices[2].write_chunk((10_000, 0), bytes(900))
+        before = [(d.chunk_count, d.free_bytes) for d in array.devices]
+        writes_before = sum(d.stats.writes for d in array.devices)
+        with pytest.raises(DeviceFullError):
+            array.write_object("x", payload_of(400, seed=5), scheme)
+        assert "x" not in array
+        assert sum(d.stats.writes for d in array.devices) > writes_before  # mid-stripe
+        assert [(d.chunk_count, d.free_bytes) for d in array.devices] == before
+
 
 class TestRestripe:
     def test_restripe_moves_object_off_failed_device(self):
